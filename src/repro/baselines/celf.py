@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import heapq
 
-from repro.core.mtts import QueryResult
-from repro.core.scoring import CoverageState, singleton_delta
+from repro.core.query import QueryResult, best_result, open_query
+from repro.core.scoring import singleton_delta
 from repro.core.state import SIRStream
 
 __all__ = ["celf"]
@@ -23,10 +23,8 @@ def celf(state: SIRStream, query, k: int) -> QueryResult:
     entry whose stamp matches the current |S| is exact and can be taken
     immediately (by submodularity all other stale gains only shrink).
     """
-    w = state.window
-    topics = [int(i) for i in query.topics]
-    weights = [float(x) for x in query.weights]
-    cov = CoverageState(w, topics, weights, state.lam, state.eta)
+    w, topics, weights, new = open_query(state, query, k)
+    cov = new()
     n_eval = 0
     # Index-less: singleton scores are computed from raw element data,
     # which is the O(l·d)-per-element cost the paper charges CELF with.
@@ -48,4 +46,4 @@ def celf(state: SIRStream, query, k: int) -> QueryResult:
             n_eval += 1
             if g > 0:
                 heapq.heappush(heap, (-g, eid, len(cov.S)))
-    return QueryResult(list(cov.S), cov.value, n_eval, 0)
+    return best_result([cov], n_eval, 0)

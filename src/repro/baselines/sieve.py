@@ -8,9 +8,7 @@ evaluated.
 """
 from __future__ import annotations
 
-import math
-
-from repro.core.mtts import QueryResult
+from repro.core.query import QueryResult, best_result, open_query, refit_lattice
 from repro.core.scoring import CoverageState, singleton_delta
 from repro.core.state import SIRStream
 
@@ -20,10 +18,7 @@ __all__ = ["sieve_streaming"]
 def sieve_streaming(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryResult:
     """One pass over A_t with the classic sieve admission rule
     Δ(e|S_v) ≥ (v/2 − f(S_v)) / (k − |S_v|)."""
-    w = state.window
-    topics = [int(i) for i in query.topics]
-    weights = [float(x) for x in query.weights]
-    log_base = math.log1p(eps)
+    w, topics, weights, new = open_query(state, query, k)
     cands: dict[int, CoverageState] = {}
     m = 0.0
     n_eval = 0
@@ -35,14 +30,7 @@ def sieve_streaming(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryR
             continue
         if d > m:
             m = d
-            j_lo = math.ceil(math.log(m) / log_base - 1e-9)
-            j_hi = math.floor(math.log(2.0 * k * m) / log_base + 1e-9)
-            for j in list(cands):
-                if j < j_lo or j > j_hi:
-                    del cands[j]
-            for j in range(j_lo, j_hi + 1):
-                if j not in cands:
-                    cands[j] = CoverageState(w, topics, weights, state.lam, state.eta)
+            refit_lattice(cands, m, k, eps, new)
         for j, cand in cands.items():
             if len(cand.S) >= k:
                 continue
@@ -50,7 +38,4 @@ def sieve_streaming(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryR
             need = (v / 2.0 - cand.value) / (k - len(cand.S))
             if cand.gain(e) >= need:
                 cand.add(e)
-    if not cands:
-        return QueryResult([], 0.0, n_eval, 0)
-    best = max(cands.values(), key=lambda c: c.value)
-    return QueryResult(list(best.S), best.value, n_eval, 0)
+    return best_result(cands.values(), n_eval, 0)

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import heapq
 
-from repro.core.mtts import QueryResult
+from repro.core.query import QueryResult, best_result, open_query
 from repro.core.ranked_lists import Traversal
-from repro.core.scoring import CoverageState
 from repro.core.state import SIRStream
 
 __all__ = ["topk_representative"]
@@ -20,9 +19,7 @@ __all__ = ["topk_representative"]
 
 def topk_representative(state: SIRStream, query, k: int) -> QueryResult:
     """Threshold-pruned top-k by δ(e,x) over the ranked lists."""
-    w = state.window
-    topics = [int(i) for i in query.topics]
-    weights = [float(x) for x in query.weights]
+    w, topics, weights, new = open_query(state, query, k)
     trav = Traversal(state.rl, topics, weights)
     best: list[tuple[float, int]] = []  # min-heap of (δ, eid), size ≤ k
     n_eval = 0
@@ -42,7 +39,7 @@ def topk_representative(state: SIRStream, query, k: int) -> QueryResult:
             heapq.heapreplace(best, (d, eid))
     eids = [eid for _, eid in sorted(best, reverse=True)]
     # Report the true set score f(S,x) so quality is comparable
-    cov = CoverageState(w, topics, weights, state.lam, state.eta)
+    cov = new()
     for eid in eids:
         cov.add(w.store[eid])
-    return QueryResult(eids, cov.value, n_eval, trav.n_retrieved)
+    return best_result([cov], n_eval, trav.n_retrieved)

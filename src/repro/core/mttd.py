@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import heapq
 
-from repro.core.mtts import QueryResult, _EPS
+from repro.core.query import _EPS, QueryResult, best_result, open_query
 from repro.core.ranked_lists import Traversal
-from repro.core.scoring import CoverageState
 from repro.core.state import SIRStream
 
 __all__ = ["mttd"]
@@ -25,13 +24,9 @@ __all__ = ["mttd"]
 
 def mttd(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryResult:
     """Process k-SIR query ``query`` (.topics/.weights) over ``state``."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    w = state.window
-    topics = [int(i) for i in query.topics]
-    weights = [float(x) for x in query.weights]
+    w, topics, weights, new = open_query(state, query, k)
     trav = Traversal(state.rl, topics, weights)
-    cov = CoverageState(w, topics, weights, state.lam, state.eta)
+    cov = new()
     buf: list[tuple[float, int]] = []  # (−Δ_e, eid), Δ_e a stale upper bound
     tau = trav.upper_bound()
     tau_term = 0.0
@@ -56,11 +51,11 @@ def mttd(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryResult:
             if g >= tau:
                 cov.add(w.store[eid])
                 if len(cov.S) == k:
-                    return QueryResult(list(cov.S), cov.value, n_eval, trav.n_retrieved)
+                    return best_result([cov], n_eval, trav.n_retrieved)
             elif g > _EPS:
                 heapq.heappush(buf, (-g, eid))
             # g ≈ 0: drop — submodularity says it can never gain again
         tau_term = cov.value * eps / k
         tau *= 1.0 - eps
 
-    return QueryResult(list(cov.S), cov.value, n_eval, trav.n_retrieved)
+    return best_result([cov], n_eval, trav.n_retrieved)

@@ -11,36 +11,19 @@ admission threshold TH.  Guarantees a (1/2 − ε)-approximation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from repro.core.query import _EPS, QueryResult, best_result, open_query, refit_lattice
 from repro.core.ranked_lists import Traversal
 from repro.core.scoring import CoverageState
 from repro.core.state import SIRStream
 
 __all__ = ["mtts", "QueryResult"]
 
-_EPS = 1e-12
-
-
-@dataclass
-class QueryResult:
-    """Result of one k-SIR query: selected eids, f(S,x), and work counters."""
-
-    eids: list[int]
-    value: float
-    n_evaluated: int  # elements scored (the n'_t of the complexity analysis)
-    n_retrieved: int  # tuples pulled off the ranked lists
-
 
 def mtts(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryResult:
     """Process k-SIR query ``query`` (.topics/.weights) over ``state``."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    w = state.window
-    topics = [int(i) for i in query.topics]
-    weights = [float(x) for x in query.weights]
+    w, topics, weights, new = open_query(state, query, k)
     trav = Traversal(state.rl, topics, weights)
-    log_base = math.log1p(eps)
     cands: dict[int, CoverageState] = {}
     delta_max = 0.0
     th = 0.0
@@ -62,15 +45,7 @@ def mtts(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryResult:
         n_eval += 1
         if dex > delta_max:
             delta_max = dex
-            # Φ = {(1+ε)^j : δ_max ≤ (1+ε)^j ≤ 2·k·δ_max}
-            j_lo = math.ceil(math.log(delta_max) / log_base - 1e-9)
-            j_hi = math.floor(math.log(2.0 * k * delta_max) / log_base + 1e-9)
-            for j in list(cands):
-                if j < j_lo or j > j_hi:
-                    del cands[j]
-            for j in range(j_lo, j_hi + 1):
-                if j not in cands:
-                    cands[j] = CoverageState(w, topics, weights, state.lam, state.eta)
+            refit_lattice(cands, delta_max, k, eps, new)
         for j in sorted(cands):  # ascending thresholds: break at first fail
             t_j = _threshold(j)
             if dex < t_j:
@@ -83,7 +58,4 @@ def mtts(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryResult:
         if cands and not unfilled:
             break  # every candidate full: no element can be admitted
 
-    if not cands:
-        return QueryResult([], 0.0, n_eval, trav.n_retrieved)
-    best = max(cands.values(), key=lambda c: c.value)
-    return QueryResult(list(best.S), best.value, n_eval, trav.n_retrieved)
+    return best_result(cands.values(), n_eval, trav.n_retrieved)

@@ -53,9 +53,6 @@ class ActiveWindow:
         """Largest timestamp already outside the window (= t − T)."""
         return self.t - self.T
 
-    def in_window(self, eid: int) -> bool:
-        return eid in self.store and self.store[eid].ts > self.cutoff
-
     def children_of(self, eid: int) -> list[Element]:
         """I_t(eid): active in-window children (the scorer's context)."""
         cut = self.cutoff

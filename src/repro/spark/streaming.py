@@ -103,7 +103,8 @@ def run_streaming(
                     np.asarray(r.freqs, dtype=float), np.asarray(r.topics, dtype=int),
                     np.asarray(r.probs, dtype=float), np.asarray(r.refs, dtype=int), phi,
                 )
-                for r in grp.sort_values("ts").itertuples()
+                # eid breaks ts ties: a parent precedes its same-ts child
+                for r in grp.sort_values(["ts", "eid"]).itertuples()
             ]
             state.ingest_bucket(elems, int(b))
 

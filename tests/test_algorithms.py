@@ -170,6 +170,10 @@ def test_invalid_k_raises(tiny_state, tiny_queries):
         mtts(tiny_state, tiny_queries[0], 0)
     with pytest.raises(ValueError):
         mttd(tiny_state, tiny_queries[0], -1)
+    for alg in (mtts, mttd, celf, sieve_streaming, topk_representative):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be positive"):
+                alg(tiny_state, tiny_queries[0], k)
 
 
 def test_results_are_active_and_unique(small_state, small_queries):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import SIRStream, build_elements, mttd, mtts
-from repro.corpus import TWITTER, generate_queries, generate_stream
+from repro.corpus import REDDIT, TWITTER, generate_queries, generate_stream
 from repro.spark.streaming import bucket_schema, run_streaming, write_buckets
 
 from stream_fixtures import SMALL_L, SMALL_T
@@ -94,3 +94,19 @@ def test_streaming_element_reconstruction(stream, stream_state):
         assert np.array_equal(e.refs, r.refs)
         for i in e.sigma:
             assert np.allclose(e.sigma[i], r.sigma[i])
+
+
+def test_dense_buckets_same_as_batch(spark, tmp_path):
+    """Reddit-dense buckets (~125 rows, many sharing a timestamp): the
+    sink must ingest a parent before its same-ts child, as the batch
+    driver does, or the child's reference is dropped."""
+    stream = generate_stream(REDDIT, n_elements=3000, z=16, duration=360, seed=0)
+    batch = SIRStream(T=SMALL_T, L=SMALL_L, lam=REDDIT.lam, eta=REDDIT.eta)
+    batch.load(build_elements(stream))
+    batch.run_all()
+    path = str(tmp_path / "b")
+    write_buckets(stream, path, SMALL_L)
+    st = run_streaming(spark, path, stream.model.phi, SMALL_T, SMALL_L, REDDIT.lam, REDDIT.eta)
+    assert st.window.children == batch.window.children
+    assert st.window.delta == batch.window.delta
+    assert st.rl.lists == batch.rl.lists
