@@ -8,7 +8,7 @@ evaluated.
 """
 from __future__ import annotations
 
-from repro.core.query import QueryResult, best_result, open_query, refit_lattice
+from repro.core.query import QueryResult, best_result, offer, open_query, refit_lattice
 from repro.core.scoring import CoverageState, singleton_delta
 from repro.core.state import SIRStream
 
@@ -31,11 +31,5 @@ def sieve_streaming(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryR
         if d > m:
             m = d
             refit_lattice(cands, m, k, eps, new)
-        for j, cand in cands.items():
-            if len(cand.S) >= k:
-                continue
-            v = (1.0 + eps) ** j
-            need = (v / 2.0 - cand.value) / (k - len(cand.S))
-            if cand.gain(e) >= need:
-                cand.add(e)
+        offer(cands, e, k, lambda j, c: ((1.0 + eps) ** j / 2.0 - c.value) / (k - len(c.S)))
     return best_result(cands.values(), n_eval, 0)

@@ -7,12 +7,16 @@ x_i·δ_i(e) order via the ranked-list traversal, and the scan terminates
 as soon as the unevaluated upper bound UB(x) drops below the minimum
 admission threshold TH.  Guarantees a (1/2 − ε)-approximation
 (Theorem 2) while evaluating each active element at most once.
+
+Lower thresholds admit the same elements, so many candidates hold an
+equal S; those share one coverage state (:func:`~repro.core.query.offer`)
+and Δ(e|S) is evaluated once per distinct S, not once per guess.
 """
 from __future__ import annotations
 
 import math
 
-from repro.core.query import _EPS, QueryResult, best_result, open_query, refit_lattice
+from repro.core.query import _EPS, QueryResult, best_result, offer, open_query, refit_lattice
 from repro.core.ranked_lists import Traversal
 from repro.core.scoring import CoverageState
 from repro.core.state import SIRStream
@@ -26,7 +30,7 @@ def mtts(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryResult:
     trav = Traversal(state.rl, topics, weights)
     cands: dict[int, CoverageState] = {}
     delta_max = 0.0
-    th = 0.0
+    th = -math.inf  # TH = least φ/2k of an unfilled S_φ; none refuses yet
     n_eval = 0
 
     def _threshold(j: int) -> float:
@@ -46,13 +50,10 @@ def mtts(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryResult:
         if dex > delta_max:
             delta_max = dex
             refit_lattice(cands, delta_max, k, eps, new)
-        for j in sorted(cands):  # ascending thresholds: break at first fail
-            t_j = _threshold(j)
-            if dex < t_j:
-                break  # δ(e,x) < φ/2k for this and every larger φ
-            cand = cands[j]
-            if len(cand.S) < k and cand.gain(e) >= t_j:
-                cand.add(e)
+        elif dex < th:
+            continue  # δ(e,x) < TH: every unfilled S_φ refuses e, Φ is unchanged
+        # S_φ admits e iff Δ(e|S_φ) ≥ φ/2k; δ(e,x) < φ/2k rules it out unevaluated
+        offer(cands, e, k, lambda j, _: t if dex >= (t := _threshold(j)) else math.inf)
         unfilled = [j for j, c in cands.items() if len(c.S) < k]
         th = _threshold(min(unfilled)) if unfilled else math.inf
         if cands and not unfilled:

@@ -10,7 +10,7 @@ from functools import partial
 
 from repro.core.scoring import CoverageState
 
-__all__ = ["QueryResult", "open_query", "refit_lattice", "best_result"]
+__all__ = ["QueryResult", "open_query", "refit_lattice", "offer", "best_result"]
 
 _EPS = 1e-12
 
@@ -42,8 +42,8 @@ def open_query(state, query, k: int):
 def refit_lattice(cands: dict, m: float, k: int, eps: float, new) -> None:
     """Refit ``cands`` (j → candidate) to Φ = {(1+ε)^j : m ≤ (1+ε)^j ≤ 2·k·m}.
 
-    Candidates whose guess left Φ are dropped; each new guess gets an
-    empty candidate from ``new()``.
+    Candidates whose guess left Φ are dropped; the guesses opened here
+    all share one empty candidate from ``new()`` (see :func:`offer`).
     """
     log_base = math.log1p(eps)
     j_lo = math.ceil(math.log(m) / log_base - 1e-9)
@@ -51,9 +51,41 @@ def refit_lattice(cands: dict, m: float, k: int, eps: float, new) -> None:
     for j in list(cands):
         if j < j_lo or j > j_hi:
             del cands[j]
+    empty = None
     for j in range(j_lo, j_hi + 1):
         if j not in cands:
-            cands[j] = new()
+            if empty is None:
+                empty = new()
+            cands[j] = empty
+
+
+def offer(cands: dict, e, k: int, need) -> None:
+    """Offer ``e`` to every guess of the lattice ``cands`` (j → state).
+
+    Guess j admits e iff |S_j| < k and Δ(e|S_j) ≥ ``need(j, state)``;
+    ``math.inf`` refuses e without evaluating Δ.  Guesses whose S is
+    equal share one :class:`CoverageState`, so Δ(e|S) is evaluated once
+    per distinct state.  The guesses admitting e from one state move
+    together to its successor S ∪ {e}; a state that some guess keeps is
+    copied first, so every guess still sees its own S.
+    """
+    holders: dict[CoverageState, list[int]] = {}
+    for j, cand in cands.items():
+        if len(cand.S) < k:  # a full S is every holder's, and admits nothing
+            holders.setdefault(cand, []).append(j)
+    for cand, js in holders.items():
+        needs = [need(j, cand) for j in js]
+        if min(needs) == math.inf:
+            continue
+        g = cand.gain(e)
+        take = [j for j, t in zip(js, needs) if g >= t]
+        if not take:
+            continue
+        if len(take) < len(js):
+            cand = cand.copy()
+            for j in take:
+                cands[j] = cand
+        cand.add(e)
 
 
 def best_result(cands, n_eval: int, n_retrieved: int) -> QueryResult:

@@ -70,7 +70,8 @@ class Traversal:
     Lists are read-only snapshots during a query.  ``head(i)`` returns
     the next *unvisited* tuple of RL_i; ``pop_best(weights)`` pops the
     element maximising x_i·δ_i(e^{(i)}) across lists and marks every
-    copy of it visited (lazily — other cursors skip it on read).
+    copy of it visited (lazily — other cursors skip it on read).  Each
+    list's head is cached, and a pop re-reads only the lists it headed.
     """
 
     def __init__(self, rl: RankedLists, topics: Iterable[int], weights: Iterable[float]):
@@ -80,9 +81,10 @@ class Traversal:
         self._cursor = {i: 0 for i in self.topics}
         self.visited: set[int] = set()
         self.n_retrieved = 0
+        self._heads = {i: self._scan(i) for i in self.topics}
 
-    def head(self, topic: int) -> tuple[int, float] | None:
-        """(eid, δ_i) of the next unvisited tuple in RL_i, or None."""
+    def _scan(self, topic: int) -> tuple[int, float] | None:
+        """Advance RL_i's cursor past visited tuples; → its head."""
         lst = self.rl.lists.get(topic, ())
         c = self._cursor[topic]
         while c < len(lst) and lst[c][1] in self.visited:
@@ -93,11 +95,15 @@ class Traversal:
         negd, eid = lst[c]
         return eid, -negd
 
+    def head(self, topic: int) -> tuple[int, float] | None:
+        """(eid, δ_i) of the next unvisited tuple in RL_i, or None."""
+        return self._heads[topic]
+
     def upper_bound(self) -> float:
         """UB(x) = Σ_i x_i·δ_i(e^{(i)}) over non-exhausted lists."""
         ub = 0.0
         for i in self.topics:
-            h = self.head(i)
+            h = self._heads[i]
             if h is not None:
                 ub += self.weights[i] * h[1]
         return ub
@@ -105,8 +111,9 @@ class Traversal:
     def pop_best(self) -> tuple[int, int] | None:
         """Pop the element with maximum x_i·δ_i(e^{(i)}); → (eid, i*)."""
         best, best_i, best_v = None, None, -1.0
+        heads = self._heads
         for i in self.topics:
-            h = self.head(i)
+            h = heads[i]
             if h is None:
                 continue
             v = self.weights[i] * h[1]
@@ -117,7 +124,11 @@ class Traversal:
         self.visited.add(best)
         self._cursor[best_i] += 1
         self.n_retrieved += 1
+        for i in self.topics:
+            h = heads[i]
+            if h is not None and h[0] == best:
+                heads[i] = self._scan(i)
         return best, best_i
 
     def exhausted(self) -> bool:
-        return all(self.head(i) is None for i in self.topics)
+        return all(h is None for h in self._heads.values())

@@ -148,22 +148,36 @@ class CoverageState:
         self.value += g
         return g
 
+    def copy(self) -> "CoverageState":
+        """An independent state with the same S (``add`` on either one
+        leaves the other unchanged)."""
+        c = CoverageState.__new__(CoverageState)
+        c.ctx, c.lam, c.c_inf, c.xw = self.ctx, self.lam, self.c_inf, self.xw
+        c.wordcov = {i: dict(cov) for i, cov in self.wordcov.items()}
+        c.remprob = dict(self.remprob)
+        c.S = list(self.S)
+        c.value = self.value
+        return c
+
     def _gain(self, e: Element, *, apply: bool) -> float:
         g = 0.0
-        children = None
+        words = children = None
         for i, xi in self.xw.items():
             pe = e.tp.get(i)
             if pe is None:
                 continue
-            # semantic: Σ_w max(0, σ_i(w,e) − current coverage)
+            # semantic: Σ_w max(0, σ_i(w,e) − current coverage), over
+            # Python lists: numpy scalars cost far more per step
+            if words is None:
+                words = e.words.tolist()
             cov = self.wordcov[i]
             sem = 0.0
-            for w, s in zip(e.words, e.sigma[i]):
-                cur = cov.get(int(w), 0.0)
+            for w, s in zip(words, e.sigma[i].tolist()):
+                cur = cov.get(w, 0.0)
                 if s > cur:
                     sem += s - cur
                     if apply:
-                        cov[int(w)] = float(s)
+                        cov[w] = s
             g += xi * self.lam * sem
             # influence: Σ_c p_i(e⇝c) · Π_{e'∈S∩c.ref}(1 − p_i(e'⇝c))
             if children is None:
@@ -191,7 +205,7 @@ def singleton_delta(
     lam: float,
     eta: float,
 ) -> float:
-    """δ(e, x) computed from raw element data in O(l·d).
+    """δ(e, x) computed from e's stored R_i(e) and its children I_t(e).
 
     This is the evaluation the index-less baselines (CELF,
     SieveStreaming) must perform for *every* active element — the cost
@@ -206,7 +220,7 @@ def singleton_delta(
         pe = e.tp.get(i)
         if pe is None or x <= 0:
             continue
-        total += x * lam * float(e.sigma[i].sum())
+        total += x * lam * e.R[i]
         if children is None:
             children = list(ctx.children_of(e.eid))
         inf = sum(pe * pc for c in children if (pc := c.tp.get(i)))

@@ -66,7 +66,7 @@ class ActiveWindow:
         d = self.delta.get(eid)
         if not d:
             return 0.0
-        return sum(x * d.get(int(i), 0.0) for i, x in zip(topics, weights))
+        return sum(x * d.get(i, 0.0) for i, x in zip(topics, weights))
 
     @property
     def n_active(self) -> int:

@@ -2,17 +2,22 @@
 
 Candidate-set management in MTTS (Φ range, threshold admission),
 threshold descent and buffering in MTTD (retrieve(τ), lazy re-
-evaluation), and determinism of both algorithms.
+evaluation), and determinism of both algorithms.  MTTS and
+SieveStreaming share coverage states between OPT guesses; they are
+checked against reference loops with one independent state per guess,
+and the cached traversal heads against a fresh scan of the lists.
 """
 import math
 
 import pytest
 
+from repro.baselines import sieve_streaming
 from repro.core import mttd, mtts
 from repro.core.mtts import QueryResult
+from repro.core.query import best_result, open_query
 from repro.core.ranked_lists import RankedLists, Traversal
 from repro.core.state import SIRStream
-from repro.core.scoring import make_element
+from repro.core.scoring import make_element, singleton_delta
 
 import numpy as np
 
@@ -162,3 +167,142 @@ def test_mtts_value_matches_bound_shape(small_state, small_queries):
         # greedy (1−1/e) vs sieve (1/2−ε): CELF should not lose to MTTS
         # by more than the theory allows in aggregate; sanity ceiling:
         assert v_mtts <= v_celf / (1 - 1 / math.e) + 1e-9
+
+
+# -- shared candidate states: equal to one independent state per guess ----
+
+def _ref_refit(cands, m, k, eps, new):
+    """Φ = {(1+ε)^j : m ≤ (1+ε)^j ≤ 2km}, each new guess its own S = ∅."""
+    log_base = math.log1p(eps)
+    j_lo = math.ceil(math.log(m) / log_base - 1e-9)
+    j_hi = math.floor(math.log(2.0 * k * m) / log_base + 1e-9)
+    for j in list(cands):
+        if j < j_lo or j > j_hi:
+            del cands[j]
+    for j in range(j_lo, j_hi + 1):
+        if j not in cands:
+            cands[j] = new()
+
+
+def _ref_mtts(state, query, k, eps):
+    """Algorithm 2 with one independent CoverageState per OPT guess."""
+    w, topics, weights, new = open_query(state, query, k)
+    trav = Traversal(state.rl, topics, weights)
+    cands = {}
+    delta_max, th, n_eval = 0.0, 0.0, 0
+    while True:
+        ub = trav.upper_bound()
+        if ub < th or ub <= 1e-12:
+            break
+        popped = trav.pop_best()
+        if popped is None:
+            break
+        e = w.store[popped[0]]
+        dex = w.delta_x(e.eid, topics, weights)
+        n_eval += 1
+        if dex > delta_max:
+            delta_max = dex
+            _ref_refit(cands, delta_max, k, eps, new)
+        for j in sorted(cands):
+            t_j = (1.0 + eps) ** j / (2.0 * k)
+            if dex < t_j:
+                break
+            cand = cands[j]
+            if len(cand.S) < k and cand.gain(e) >= t_j:
+                cand.add(e)
+        unfilled = [j for j, c in cands.items() if len(c.S) < k]
+        th = (1.0 + eps) ** min(unfilled) / (2.0 * k) if unfilled else math.inf
+        if cands and not unfilled:
+            break
+    return best_result(cands.values(), n_eval, trav.n_retrieved)
+
+
+def _ref_sieve(state, query, k, eps):
+    """SieveStreaming with one independent CoverageState per OPT guess."""
+    w, topics, weights, new = open_query(state, query, k)
+    cands = {}
+    m, n_eval = 0.0, 0
+    for eid in sorted(w.active):
+        e = w.store[eid]
+        d = singleton_delta(e, w, topics, weights, state.lam, state.eta)
+        n_eval += 1
+        if d <= 0:
+            continue
+        if d > m:
+            m = d
+            _ref_refit(cands, m, k, eps, new)
+        for j, cand in cands.items():
+            if len(cand.S) >= k:
+                continue
+            need = ((1.0 + eps) ** j / 2.0 - cand.value) / (k - len(cand.S))
+            if cand.gain(e) >= need:
+                cand.add(e)
+    return best_result(cands.values(), n_eval, 0)
+
+
+@pytest.mark.parametrize("k", [1, 5, 10])
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.5])
+def test_shared_states_match_independent_candidates(small_state, small_queries, eps, k):
+    for alg, ref in ((mtts, _ref_mtts), (sieve_streaming, _ref_sieve)):
+        for q in small_queries:
+            got, want = alg(small_state, q, k, eps), ref(small_state, q, k, eps)
+            assert got.eids == want.eids
+            assert got.value.hex() == float(want.value).hex()
+            assert (got.n_evaluated, got.n_retrieved) == (want.n_evaluated, want.n_retrieved)
+
+
+def test_coverage_copy_is_independent(small_state, small_queries):
+    q = small_queries[0]
+    w, topics, _, new = open_query(small_state, q, 3)
+    ranked = [eid for _, eid in small_state.rl.lists[topics[0]]]
+    a, b, c = (w.store[eid] for eid in ranked[:3])
+    orig = new()
+    orig.add(a)
+    before = (list(orig.S), orig.value, orig.gain(b), orig.gain(c))
+    dup = orig.copy()
+    assert (dup.S, dup.value, dup.gain(b)) == (orig.S, orig.value, before[2])
+    dup.add(b)
+    dup.add(c)
+    assert (orig.S, orig.value, orig.gain(b), orig.gain(c)) == before
+    fresh = new()
+    for e in (a, b, c):
+        fresh.add(e)
+    assert dup.S == fresh.S and dup.value == fresh.value
+
+
+def _scan_head(rl, topic, visited):
+    for negd, eid in rl.lists.get(topic, ()):
+        if eid not in visited:
+            return eid, -negd
+    return None
+
+
+def _assert_drains_like_scan(rl, topics, weights):
+    trav = Traversal(rl, topics, weights)
+    visited = set()
+    while True:
+        heads = [_scan_head(rl, i, visited) for i in topics]
+        assert [trav.head(i) for i in topics] == heads
+        ub = 0.0
+        for x, h in zip(weights, heads):
+            if h is not None:
+                ub += x * h[1]
+        assert trav.upper_bound() == ub
+        popped = trav.pop_best()
+        if popped is None:
+            assert all(h is None for h in heads)
+            return
+        visited.add(popped[0])
+
+
+def test_traversal_cached_heads_match_fresh_scan(small_state, small_queries):
+    rl = RankedLists()
+    # e1 heads RL_0 and RL_1 at once; e4 sits in all three lists
+    for topic, eid, d in [(0, 1, 5.0), (1, 1, 4.0), (0, 2, 3.0), (1, 3, 3.5),
+                          (2, 4, 2.0), (0, 4, 1.0), (1, 4, 0.5), (2, 5, 1.5)]:
+        rl.upsert(topic, eid, d)
+    _assert_drains_like_scan(rl, [0, 1, 2], [0.5, 0.3, 0.2])
+    _assert_drains_like_scan(rl, [1, 9, 0], [1.0, 1.0, 1.0])  # 9: no list
+    for q in small_queries[:3]:
+        _assert_drains_like_scan(small_state.rl, [int(i) for i in q.topics],
+                                 [float(x) for x in q.weights])
